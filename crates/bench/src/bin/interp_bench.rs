@@ -14,7 +14,11 @@
 //!
 //! Measures the per-operation cost of the `BlockCtx` primitives the
 //! kernels are built from — wall nanoseconds *and allocator calls* per
-//! op — on a 256-lane block. The allocation column is the regression
+//! op — on a fully active 256-lane C1060 block with unit-stride
+//! addresses, plus rows for the shapes the colony kernels actually
+//! issue: per-ant strided global loads on both devices, a task kernel's
+//! partial mask (the first 48 of 128 lanes), and a block-reduction
+//! level's shared traffic. The allocation column is the regression
 //! tripwire for the pooled register file: every row must stay at (or
 //! very near) zero allocations per op once the thread-local pools are
 //! warm; a future change that reintroduces per-op `Vec` churn shows up
@@ -56,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One micro-kernel: `reps` repetitions of a single primitive inside one
-/// 256-lane block.
+/// block (see [`op_shape`] for each row's device and block size).
 struct OpKernel {
     op: &'static str,
     reps: u32,
@@ -110,6 +114,49 @@ impl Kernel for OpKernel {
             "global_ld" => {
                 for _ in 0..self.reps {
                     let _ = ctx.ld_global_f32(gm, self.buf_f, &idx);
+                }
+            }
+            "global_ld_strided" | "global_ld_strided_m2050" => {
+                // One tour row per lane, as in the task kernels: every
+                // lane touches its own segment / L1 line.
+                let stride = ctx.splat_u32(STRIDE);
+                let rows = ctx.imul(&a, &stride);
+                for _ in 0..self.reps {
+                    let _ = ctx.ld_global_f32(gm, self.buf_f, &rows);
+                }
+            }
+            "fmul_48of128" | "cmp_select_48of128" => {
+                // A task kernel's mask: 48 ants in a 128-thread block.
+                let ants = ctx.splat_u32(48);
+                let live = ctx.ult(&a, &ants);
+                let select = self.op == "cmp_select_48of128";
+                ctx.with_mask(gm, &live, |ctx, _| {
+                    for _ in 0..self.reps {
+                        if select {
+                            let m = ctx.flt(&af, &bf);
+                            let _ = ctx.select_f32(&m, &af, &bf);
+                        } else {
+                            let _ = ctx.fmul(&af, &bf);
+                        }
+                    }
+                });
+            }
+            "shared_reduce" => {
+                // One level of a block argmax per rep: lanes below `s`
+                // combine their word with the one `s` above, `s` halving
+                // from 128 to 1 as in the data-parallel construction.
+                let sh = ctx.shared_alloc_f32(256);
+                ctx.sh_st_f32(sh, &idx, &af);
+                for rep in 0..self.reps {
+                    let s = ctx.splat_u32(128 >> (rep % 8));
+                    let lower = ctx.ult(&a, &s);
+                    ctx.with_mask(gm, &lower, |ctx, _| {
+                        let other = ctx.iadd(&a, &s);
+                        let vo = ctx.sh_ld_f32(sh, &other);
+                        let vm = ctx.sh_ld_f32(sh, &a);
+                        let best = ctx.fmax(&vo, &vm);
+                        ctx.sh_st_f32(sh, &a, &best);
+                    });
                 }
             }
             "global_st" => {
@@ -227,7 +274,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 12] = [
+const OPS: [&str; 17] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -240,7 +287,26 @@ const OPS: [&str; 12] = [
     "atomic_add",
     "lcg_rng",
     "roulette_loop",
+    "global_ld_strided",
+    "global_ld_strided_m2050",
+    "fmul_48of128",
+    "cmp_select_48of128",
+    "shared_reduce",
 ];
+
+/// Word stride between lanes of the strided-load rows: a padded tour row
+/// (`n + 1` rounded up past a 128-byte segment), so no two lanes share a
+/// segment or an L1 line.
+const STRIDE: u32 = 33;
+
+/// Device and block size of a row: `_m2050` rows run on the Tesla M2050
+/// (L1-cached loads), `_48of128` rows in a 128-thread block; every other
+/// row in a 256-thread C1060 block.
+fn op_shape(op: &str) -> (DeviceSpec, u32) {
+    let dev =
+        if op.ends_with("_m2050") { DeviceSpec::tesla_m2050() } else { DeviceSpec::tesla_c1060() };
+    (dev, if op.ends_with("_48of128") { 128 } else { 256 })
+}
 
 struct OpResult {
     name: &'static str,
@@ -347,12 +413,12 @@ fn check(path: &std::path::Path, tolerance: f64, reps: u32) -> ! {
 }
 
 fn run_op(op: &'static str, reps: u32) -> OpResult {
-    let dev = DeviceSpec::tesla_c1060();
+    let (dev, block) = op_shape(op);
     let mut gm = GlobalMem::new();
-    let buf_f = gm.alloc_f32(256);
+    let buf_f = gm.alloc_f32(256 * STRIDE as usize);
     let buf_u = gm.alloc_u32(256);
     let k = OpKernel { op, reps, buf_f, buf_u };
-    let cfg = LaunchConfig::new(1, 256).shared(4 * 256);
+    let cfg = LaunchConfig::new(1, block).shared(4 * 256);
     // Warm-up launch: fills the thread-local pools and caches.
     launch(&dev, &cfg, &k, &mut gm, SimMode::Full).unwrap();
 
@@ -429,15 +495,15 @@ fn main() {
     }
 
     let results: Vec<OpResult> = OPS.iter().map(|&op| run_op(op, reps)).collect();
-    println!("{:<14} {:>10} {:>12}", "op", "ns/op", "allocs/op");
+    println!("{:<24} {:>10} {:>12}", "op", "ns/op", "allocs/op");
     for r in &results {
-        println!("{:<14} {:>10.1} {:>12.4}", r.name, r.ns_per_op, r.allocs_per_op);
+        println!("{:<24} {:>10.1} {:>12.4}", r.name, r.ns_per_op, r.allocs_per_op);
     }
     let launches: Vec<LaunchAllocResult> =
         LAUNCH_THREADS.iter().map(|&t| run_launches(t)).collect();
-    println!("{:<14} {:>10} {:>15}", "family", "launches", "allocs/launch");
+    println!("{:<24} {:>10} {:>15}", "family", "launches", "allocs/launch");
     for l in &launches {
-        println!("{:<14} {:>10} {:>15.4}", l.family, l.launches, l.allocs_per_launch);
+        println!("{:<24} {:>10} {:>15.4}", l.family, l.launches, l.allocs_per_launch);
     }
 
     // Keep prior history entries (drop any with the same label).

@@ -17,10 +17,10 @@
 use crate::cache::Cache;
 use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
 use crate::device::DeviceSpec;
-use crate::global::{DevicePtr, GlobalMem};
+use crate::global::{elem_addr, oob_load, DevicePtr, GlobalMem};
 use crate::mask::{Mask, WARP};
 use crate::pool::PoolItem;
-use crate::shared::{ShPtr, SharedMem};
+use crate::shared::{bank_conflict_degree, ShPtr, SharedMem};
 use crate::stats::KernelStats;
 
 /// A per-thread register vector (one value per lane of the block).
@@ -114,8 +114,10 @@ pub struct BlockCtx<'a> {
     declared_shared_bytes: u32,
     // Reusable scratch buffers for the memory models (allocated once per
     // block, reused by every access — the per-op `collect()`s they
-    // replace dominated interpreter time).
-    scratch_words: Vec<(usize, u32)>,
+    // replace dominated interpreter time). `scratch_lanes` and
+    // `scratch_words` are parallel: active lane, shared word address.
+    scratch_lanes: Vec<u32>,
+    scratch_words: Vec<u32>,
     scratch_addrs: Vec<u64>,
     scratch_lines: Vec<u64>,
     scratch_txns: Vec<Transaction>,
@@ -147,6 +149,7 @@ impl<'a> BlockCtx<'a> {
             tex,
             l1,
             declared_shared_bytes: shared_bytes,
+            scratch_lanes: Vec::new(),
             scratch_words: Vec::new(),
             scratch_addrs: Vec::new(),
             scratch_lines: Vec::new(),
@@ -229,6 +232,32 @@ impl<'a> BlockCtx<'a> {
     }
 
     // --- generic lane-wise helpers ----------------------------------------
+    //
+    // Lane-wise operations walk the active mask's contiguous runs with
+    // slice loops; inactive lanes of a fresh register stay 0.
+
+    /// A fresh register with `f(a[lane])` in every active lane.
+    fn map1<A: PoolItem, T: PoolItem>(&self, a: &Reg<A>, f: impl Fn(A) -> T) -> Reg<T> {
+        let mut out = T::take(self.block_dim as usize);
+        for r in self.active().runs() {
+            for (o, &x) in out[r.clone()].iter_mut().zip(&a.0[r]) {
+                *o = f(x);
+            }
+        }
+        Reg(out)
+    }
+
+    /// A fresh register with `f(a[lane], b[lane])` in every active lane.
+    fn map2<T: PoolItem>(&self, a: &Reg<T>, b: &Reg<T>, f: impl Fn(T, T) -> T) -> Reg<T> {
+        let mut out = T::take(self.block_dim as usize);
+        for r in self.active().runs() {
+            let (a, b) = (&a.0[r.clone()], &b.0[r.clone()]);
+            for ((o, &x), &y) in out[r].iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        }
+        Reg(out)
+    }
 
     fn bin<T: PoolItem>(
         &mut self,
@@ -238,20 +267,12 @@ impl<'a> BlockCtx<'a> {
         f: impl Fn(T, T) -> T,
     ) -> Reg<T> {
         self.charge(op, 1);
-        let mut out = T::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = f(a.0[lane], b.0[lane]);
-        }
-        Reg(out)
+        self.map2(a, b, f)
     }
 
     fn un<T: PoolItem>(&mut self, op: Op, a: &Reg<T>, f: impl Fn(T) -> T) -> Reg<T> {
         self.charge(op, 1);
-        let mut out = T::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = f(a.0[lane]);
-        }
-        Reg(out)
+        self.map1(a, f)
     }
 
     // --- f32 arithmetic -----------------------------------------------------
@@ -269,8 +290,11 @@ impl<'a> BlockCtx<'a> {
     pub fn fma(&mut self, a: &Reg<f32>, b: &Reg<f32>, c: &Reg<f32>) -> Reg<f32> {
         self.charge(Op::FMul, 1);
         let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = a.0[lane].mul_add(b.0[lane], c.0[lane]);
+        for r in self.active().runs() {
+            let (a, b, c) = (&a.0[r.clone()], &b.0[r.clone()], &c.0[r.clone()]);
+            for (((o, &x), &y), &z) in out[r].iter_mut().zip(a).zip(b).zip(c) {
+                *o = x.mul_add(y, z);
+            }
         }
         Reg(out)
     }
@@ -342,21 +366,13 @@ impl<'a> BlockCtx<'a> {
     /// u32 → f32 conversion.
     pub fn u2f(&mut self, a: &Reg<u32>) -> Reg<f32> {
         self.charge(Op::Mov, 1);
-        let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = a.0[lane] as f32;
-        }
-        Reg(out)
+        self.map1(a, |x| x as f32)
     }
 
     /// f32 → u32 truncating conversion.
     pub fn f2u(&mut self, a: &Reg<f32>) -> Reg<u32> {
         self.charge(Op::Mov, 1);
-        let mut out = u32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = a.0[lane].max(0.0) as u32;
-        }
-        Reg(out)
+        self.map1(a, |x| x.max(0.0) as u32)
     }
 
     /// Mask selecting a single lane of the block (e.g. "thread 0 writes
@@ -369,8 +385,7 @@ impl<'a> BlockCtx<'a> {
 
     fn cmp<T: PoolItem>(&mut self, a: &Reg<T>, b: &Reg<T>, f: impl Fn(T, T) -> bool) -> Mask {
         self.charge(Op::FAlu, 1);
-        let active = self.mask_stack.last().expect("mask stack never empty");
-        Mask::from_fn(self.block_dim as usize, |lane| active.get(lane) && f(a.0[lane], b.0[lane]))
+        self.active().filter(|lane| f(a.0[lane], b.0[lane]))
     }
 
     pub fn flt(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Mask {
@@ -401,8 +416,10 @@ impl<'a> BlockCtx<'a> {
     fn sel<T: PoolItem>(&mut self, m: &Mask, a: &Reg<T>, b: &Reg<T>) -> Reg<T> {
         self.charge(Op::Mov, 1);
         let mut out = T::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = if m.get(lane) { a.0[lane] } else { b.0[lane] };
+        for r in self.active().runs() {
+            for lane in r {
+                out[lane] = if m.get(lane) { a.0[lane] } else { b.0[lane] };
+            }
         }
         Reg(out)
     }
@@ -420,17 +437,18 @@ impl<'a> BlockCtx<'a> {
     /// Predicated assignment: active lanes copy `src` into `dst`, inactive
     /// lanes keep their value (how real registers behave under masking).
     pub fn assign_f32(&mut self, dst: &mut Reg<f32>, src: &Reg<f32>) {
-        self.charge(Op::Mov, 1);
-        for lane in self.active().lanes() {
-            dst.0[lane] = src.0[lane];
-        }
+        self.assign(dst, src);
     }
 
     /// Predicated assignment for u32 registers.
     pub fn assign_u32(&mut self, dst: &mut Reg<u32>, src: &Reg<u32>) {
+        self.assign(dst, src);
+    }
+
+    fn assign<T: PoolItem>(&mut self, dst: &mut Reg<T>, src: &Reg<T>) {
         self.charge(Op::Mov, 1);
-        for lane in self.active().lanes() {
-            dst.0[lane] = src.0[lane];
+        for r in self.active().runs() {
+            dst.0[r.clone()].copy_from_slice(&src.0[r]);
         }
     }
 
@@ -592,51 +610,35 @@ impl<'a> BlockCtx<'a> {
         })
     }
 
-    /// Gather `(lane, word_addr)` pairs of active lanes into the reusable
-    /// scratch list (callers put it back when done).
-    fn gather_words<T>(&mut self, ptr: ShPtr<T>, idx: &Reg<u32>) -> Vec<(usize, u32)> {
+    /// Gather the active lanes and their word addresses into the reusable
+    /// parallel scratch lists (callers put them back when done).
+    fn gather_words<T>(&mut self, ptr: ShPtr<T>, idx: &Reg<u32>) -> (Vec<u32>, Vec<u32>) {
+        let mut lanes = std::mem::take(&mut self.scratch_lanes);
         let mut words = std::mem::take(&mut self.scratch_words);
+        lanes.clear();
         words.clear();
-        words.extend(
-            self.mask_stack
-                .last()
-                .expect("mask stack never empty")
-                .lanes()
-                .map(|lane| (lane, ptr.word_addr(idx.0[lane]))),
-        );
-        words
+        for r in self.active().runs() {
+            lanes.extend(r.start as u32..r.end as u32);
+            words.extend(idx.0[r].iter().map(|&i| ptr.word_addr(i)));
+        }
+        (lanes, words)
     }
 
     /// Charge one shared access instruction and its bank conflicts.
-    fn charge_shared(&mut self, words: &[(usize, u32)]) {
-        // words: (lane, word_addr) pairs of active lanes.
+    /// `lanes` (ascending) and `words` are the active lanes and the word
+    /// addresses they access.
+    fn charge_shared(&mut self, lanes: &[u32], words: &[u32]) {
         self.charge(Op::Shared, 1);
         self.stats.shared_accesses += words.len() as f64;
         let banks = self.device.shared_banks as usize;
         // Conflict granularity: half-warp on CC 1.x, full warp on CC 2.x.
         let group = if self.device.compute_capability.is_fermi() { WARP } else { WARP / 2 };
         let mut extra_total = 0.0;
-        // Per conflict group: the serialization degree is the largest
-        // number of *distinct* word addresses landing in one bank. Groups
-        // are at most a warp wide, so the quadratic duplicate scan beats
-        // any allocation-backed set.
-        let mut bank_counts = [0u32; 64];
-        debug_assert!(banks <= bank_counts.len());
         let mut s = 0;
-        while s < words.len() {
-            let g = words[s].0 / group;
-            let mut e = s;
-            while e < words.len() && words[e].0 / group == g {
-                e += 1;
-            }
-            bank_counts[..banks].fill(0);
-            for i in s..e {
-                let addr = words[i].1;
-                if words[s..i].iter().all(|&(_, a)| a != addr) {
-                    bank_counts[addr as usize % banks] += 1;
-                }
-            }
-            let degree = bank_counts[..banks].iter().copied().max().unwrap_or(0);
+        while s < lanes.len() {
+            let g = lanes[s] as usize / group;
+            let e = s + lanes[s..].partition_point(|&l| l as usize / group == g);
+            let degree = bank_conflict_degree(&words[s..e], banks);
             if degree > 1 {
                 extra_total += (degree - 1) as f64;
             }
@@ -651,45 +653,49 @@ impl<'a> BlockCtx<'a> {
 
     /// Shared load with per-lane indices.
     pub fn sh_ld_f32(&mut self, ptr: ShPtr<f32>, idx: &Reg<u32>) -> Reg<f32> {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
+        let (lanes, words) = self.gather_words(ptr, idx);
+        self.charge_shared(&lanes, &words);
         let mut out = f32::take(self.block_dim as usize);
-        for &(lane, word) in &words {
-            out[lane] = f32::from_bits(self.shared.load(word));
+        for (&lane, &word) in lanes.iter().zip(&words) {
+            out[lane as usize] = f32::from_bits(self.shared.load(word));
         }
+        self.scratch_lanes = lanes;
         self.scratch_words = words;
         Reg(out)
     }
 
     /// Shared store with per-lane indices (lane order resolves races).
     pub fn sh_st_f32(&mut self, ptr: ShPtr<f32>, idx: &Reg<u32>, val: &Reg<f32>) {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
-        for &(lane, word) in &words {
-            self.shared.store(word, val.0[lane].to_bits());
+        let (lanes, words) = self.gather_words(ptr, idx);
+        self.charge_shared(&lanes, &words);
+        for (&lane, &word) in lanes.iter().zip(&words) {
+            self.shared.store(word, val.0[lane as usize].to_bits());
         }
+        self.scratch_lanes = lanes;
         self.scratch_words = words;
     }
 
     /// Shared load with per-lane indices (u32).
     pub fn sh_ld_u32(&mut self, ptr: ShPtr<u32>, idx: &Reg<u32>) -> Reg<u32> {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
+        let (lanes, words) = self.gather_words(ptr, idx);
+        self.charge_shared(&lanes, &words);
         let mut out = u32::take(self.block_dim as usize);
-        for &(lane, word) in &words {
-            out[lane] = self.shared.load(word);
+        for (&lane, &word) in lanes.iter().zip(&words) {
+            out[lane as usize] = self.shared.load(word);
         }
+        self.scratch_lanes = lanes;
         self.scratch_words = words;
         Reg(out)
     }
 
     /// Shared store with per-lane indices (u32).
     pub fn sh_st_u32(&mut self, ptr: ShPtr<u32>, idx: &Reg<u32>, val: &Reg<u32>) {
-        let words = self.gather_words(ptr, idx);
-        self.charge_shared(&words);
-        for &(lane, word) in &words {
-            self.shared.store(word, val.0[lane]);
+        let (lanes, words) = self.gather_words(ptr, idx);
+        self.charge_shared(&lanes, &words);
+        for (&lane, &word) in lanes.iter().zip(&words) {
+            self.shared.store(word, val.0[lane as usize]);
         }
+        self.scratch_lanes = lanes;
         self.scratch_words = words;
     }
 
@@ -719,6 +725,7 @@ impl<'a> BlockCtx<'a> {
         let stats = &mut *self.stats;
         stats.mem_warp_instructions += active.active_warps() as f64;
         let fermi = self.device.compute_capability.is_fermi();
+        let base = gm.base(buf_id);
         for w in 0..active.warp_count() {
             if !active.warp_any(w) {
                 continue;
@@ -732,7 +739,7 @@ impl<'a> BlockCtx<'a> {
                 if lane % WARP < WARP / 2 {
                     half += 1;
                 }
-                addrs.push(gm.addr(buf_id, idx.0[lane] as usize));
+                addrs.push(elem_addr(base, idx.0[lane]));
             }
             // Partition camping: a warp-wide broadcast load means every
             // concurrently running block is reading this address right now,
@@ -781,6 +788,22 @@ impl<'a> BlockCtx<'a> {
         self.scratch_txns = txns;
     }
 
+    /// Functional half of a global load: `src[idx[lane]]` for every
+    /// active lane, with the buffer resolved once per operation (`kind`
+    /// and `id` name the buffer in the out-of-bounds panic).
+    fn gather_global<T: PoolItem>(&self, kind: &str, id: u32, src: &[T], idx: &Reg<u32>) -> Reg<T> {
+        let mut out = T::take(self.block_dim as usize);
+        for r in self.active().runs() {
+            for (o, &i) in out[r.clone()].iter_mut().zip(&idx.0[r]) {
+                *o = match src.get(i as usize) {
+                    Some(&x) => x,
+                    None => oob_load(kind, id, src.len(), i as usize),
+                };
+            }
+        }
+        Reg(out)
+    }
+
     /// Global load, f32.
     pub fn ld_global_f32(
         &mut self,
@@ -789,11 +812,7 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
     ) -> Reg<f32> {
         self.charge_global_access(gm, ptr.id, idx, false);
-        let mut out = f32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = gm.load_f32(ptr, idx.0[lane] as usize);
-        }
-        Reg(out)
+        self.gather_global("f32", ptr.id, gm.f32(ptr), idx)
     }
 
     /// Global load, u32.
@@ -804,11 +823,7 @@ impl<'a> BlockCtx<'a> {
         idx: &Reg<u32>,
     ) -> Reg<u32> {
         self.charge_global_access(gm, ptr.id, idx, false);
-        let mut out = u32::take(self.block_dim as usize);
-        for lane in self.active().lanes() {
-            out[lane] = gm.load_u32(ptr, idx.0[lane] as usize);
-        }
-        Reg(out)
+        self.gather_global("u32", ptr.id, gm.u32(ptr), idx)
     }
 
     /// Global store, f32 (lane order resolves same-address races).
@@ -848,9 +863,10 @@ impl<'a> BlockCtx<'a> {
         let active = self.mask_stack.last().expect("mask stack never empty");
         let stats = &mut *self.stats;
         let (mut hits, mut misses) = (0u64, 0u64);
+        let (base, src) = (gm.base(ptr.id), gm.f32(ptr));
         for lane in active.lanes() {
-            let addr = gm.addr(ptr.id, idx.0[lane] as usize);
-            if self.tex.access(addr) {
+            let i = idx.0[lane];
+            if self.tex.access(elem_addr(base, i)) {
                 stats.tex_hits += 1.0;
                 hits += 1;
             } else {
@@ -859,7 +875,10 @@ impl<'a> BlockCtx<'a> {
                 stats.dram_bytes += self.tex.line_bytes() as f64;
                 stats.ld_transactions += 1.0;
             }
-            out[lane] = gm.load_f32(ptr, idx.0[lane] as usize);
+            out[lane] = match src.get(i as usize) {
+                Some(&x) => x,
+                None => oob_load("f32", ptr.id, src.len(), i as usize),
+            };
         }
         let total = (hits + misses).max(1) as f64;
         let weight = 0.35 + 0.65 * misses as f64 / total;
@@ -882,6 +901,7 @@ impl<'a> BlockCtx<'a> {
         let active = self.mask_stack.last().expect("mask stack never empty");
         let stats = &mut *self.stats;
         stats.mem_warp_instructions += active.active_warps() as f64;
+        let base = gm.base(ptr.id);
         let emu = if self.device.native_float_atomics {
             1.0
         } else {
@@ -894,7 +914,7 @@ impl<'a> BlockCtx<'a> {
             addr_counts.clear();
             let mut n_ops = 0.0f64;
             for lane in active.warp_lanes(w) {
-                let addr = gm.addr(ptr.id, idx.0[lane] as usize);
+                let addr = elem_addr(base, idx.0[lane]);
                 n_ops += 1.0;
                 match addr_counts.iter_mut().find(|(a, _)| *a == addr) {
                     Some((_, c)) => *c += 1,

@@ -9,6 +9,8 @@
 #[derive(Debug, Clone)]
 pub struct Cache {
     line_bytes: u64,
+    /// `log2(line_bytes)`: an address's line is `addr >> line_shift`.
+    line_shift: u32,
     sets: usize,
     ways: usize,
     /// `tags[set * ways + way]` = line tag; `u64::MAX` = invalid.
@@ -31,6 +33,7 @@ impl Cache {
         let sets = (lines / ways).max(if lines == 0 { 0 } else { 1 });
         Cache {
             line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             sets,
             ways,
             tags: vec![u64::MAX; sets * ways],
@@ -53,26 +56,28 @@ impl Cache {
             return false;
         }
         self.tick += 1;
-        let line = addr / self.line_bytes;
+        let line = addr >> self.line_shift;
         let set = (line as usize) % self.sets;
         let base = set * self.ways;
+        let tags = &mut self.tags[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
         // Hit?
-        for way in 0..self.ways {
-            if self.tags[base + way] == line {
-                self.stamps[base + way] = self.tick;
-                self.hits += 1;
-                return true;
+        if let Some(way) = tags.iter().position(|&t| t == line) {
+            stamps[way] = self.tick;
+            self.hits += 1;
+            return true;
+        }
+        // Miss: evict the LRU way (the first of equally old ones). The
+        // oldest stamp rides in a register, so the scan carries no
+        // load-to-load dependency.
+        let (mut victim, mut oldest) = (0, stamps[0]);
+        for (way, &stamp) in stamps.iter().enumerate().skip(1) {
+            if stamp < oldest {
+                (victim, oldest) = (way, stamp);
             }
         }
-        // Miss: evict LRU way.
-        let mut victim = 0;
-        for way in 1..self.ways {
-            if self.stamps[base + way] < self.stamps[base + victim] {
-                victim = way;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
+        tags[victim] = line;
+        stamps[victim] = self.tick;
         self.misses += 1;
         false
     }

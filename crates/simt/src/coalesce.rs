@@ -31,45 +31,43 @@ pub fn coalesce_cc13_half_warp(addrs: &[u64]) -> Vec<Transaction> {
 }
 
 /// [`coalesce_cc13_half_warp`] writing into caller-provided buffers
-/// (`segs` is scratch, `out` receives the transactions) so the per-access
-/// hot path allocates nothing.
+/// (`sorted` is scratch, `out` receives the transactions) so the
+/// per-access hot path allocates nothing.
+///
+/// One sort, one sweep: once sorted, each 128-byte segment's accesses
+/// are contiguous, so its first and last elements are its lowest and
+/// highest addresses, and segments come out in ascending order.
 pub fn coalesce_cc13_half_warp_into(
     addrs: &[u64],
-    segs: &mut Vec<u64>,
+    sorted: &mut Vec<u64>,
     out: &mut Vec<Transaction>,
 ) {
     out.clear();
-    if addrs.is_empty() {
-        return;
-    }
-    // Distinct 128-byte segments, in address order for determinism.
-    segs.clear();
-    segs.extend(addrs.iter().map(|a| a & !127));
-    segs.sort_unstable();
-    segs.dedup();
-
-    out.extend(segs.iter().map(|&seg| {
-        let lo = addrs
-            .iter()
-            .filter(|&&a| a & !127 == seg)
-            .map(|&a| a - seg)
-            .min()
-            .expect("segment has at least one access");
-        let hi = addrs
-            .iter()
-            .filter(|&&a| a & !127 == seg)
-            .map(|&a| a - seg + 3)
-            .max()
-            .expect("segment has at least one access");
-        // Shrink to an aligned 32/64-byte window when possible.
-        if lo / 32 == hi / 32 {
-            Transaction { base: seg + (lo / 32) * 32, bytes: 32 }
-        } else if lo / 64 == hi / 64 {
-            Transaction { base: seg + (lo / 64) * 64, bytes: 64 }
-        } else {
-            Transaction { base: seg, bytes: 128 }
+    sorted.clear();
+    sorted.extend_from_slice(addrs);
+    sorted.sort_unstable();
+    let Some(&first) = sorted.first() else { return };
+    let (mut seg, mut lo, mut last) = (first & !127, first, first);
+    for &a in &sorted[1..] {
+        if a & !127 != seg {
+            out.push(segment_transaction(seg, lo - seg, last - seg + 3));
+            (seg, lo) = (a & !127, a);
         }
-    }));
+        last = a;
+    }
+    out.push(segment_transaction(seg, lo - seg, last - seg + 3));
+}
+
+/// The transaction for one segment whose accesses span byte offsets
+/// `lo..=hi`: shrunk to an aligned 32/64-byte window when possible.
+fn segment_transaction(seg: u64, lo: u64, hi: u64) -> Transaction {
+    if lo / 32 == hi / 32 {
+        Transaction { base: seg + (lo / 32) * 32, bytes: 32 }
+    } else if lo / 64 == hi / 64 {
+        Transaction { base: seg + (lo / 64) * 64, bytes: 64 }
+    } else {
+        Transaction { base: seg, bytes: 128 }
+    }
 }
 
 /// Distinct 128-byte lines touched by a warp (CC 2.0 L1 granularity).

@@ -71,6 +71,20 @@ pub struct GlobalMem {
     log: Option<Vec<LogOp>>,
 }
 
+/// Panic for a device load past the end of a buffer (`kind` names the
+/// element type).
+#[cold]
+pub(crate) fn oob_load(kind: &str, id: u32, len: usize, idx: usize) -> ! {
+    panic!("device OOB load: {kind} buffer #{id} has {len} elements, index {idx}")
+}
+
+/// Virtual byte address of element `idx` of the buffer whose element 0
+/// sits at `base` (every element is 4 bytes).
+#[inline]
+pub(crate) fn elem_addr(base: u64, idx: u32) -> u64 {
+    base + 4 * idx as u64
+}
+
 /// `cudaMalloc` base alignment.
 const BASE_ALIGN: u64 = 256;
 
@@ -196,10 +210,11 @@ impl GlobalMem {
         self.u32(ptr).len()
     }
 
-    /// Virtual byte address of element `idx` of a buffer (for coalescing).
+    /// Virtual byte address of element 0 of a buffer (for coalescing;
+    /// see [`elem_addr`]).
     #[inline]
-    pub(crate) fn addr(&self, id: u32, idx: usize) -> u64 {
-        self.buffers[id as usize].base + 4 * idx as u64
+    pub(crate) fn base(&self, id: u32) -> u64 {
+        self.buffers[id as usize].base
     }
 
     #[inline]
@@ -207,24 +222,7 @@ impl GlobalMem {
         let v = self.f32(ptr);
         match v.get(idx) {
             Some(&x) => x,
-            None => panic!(
-                "device OOB load: f32 buffer #{} has {} elements, index {idx}",
-                ptr.id,
-                v.len()
-            ),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn load_u32(&self, ptr: DevicePtr<u32>, idx: usize) -> u32 {
-        let v = self.u32(ptr);
-        match v.get(idx) {
-            Some(&x) => x,
-            None => panic!(
-                "device OOB load: u32 buffer #{} has {} elements, index {idx}",
-                ptr.id,
-                v.len()
-            ),
+            None => oob_load("f32", ptr.id, v.len(), idx),
         }
     }
 
@@ -372,12 +370,12 @@ mod tests {
         let mut gm = GlobalMem::new();
         let a = gm.alloc_f32(5); // 20 bytes
         let b = gm.alloc_f32(1);
-        let base_a = gm.addr(a.id, 0);
-        let base_b = gm.addr(b.id, 0);
+        let base_a = gm.base(a.id);
+        let base_b = gm.base(b.id);
         assert_eq!(base_a % 256, 0);
         assert_eq!(base_b % 256, 0);
         assert!(base_b >= base_a + 20);
-        assert_eq!(gm.addr(a.id, 3), base_a + 12);
+        assert_eq!(elem_addr(base_a, 3), base_a + 12);
     }
 
     #[test]

@@ -160,6 +160,34 @@ impl Mask {
         })
     }
 
+    /// Maximal runs of contiguous active lanes, in increasing order.
+    ///
+    /// Lane-wise operations walk these instead of single lanes, so a mask
+    /// whose active lanes form a few runs (the usual shape: a full block,
+    /// or the first `m` lanes of a task kernel) costs a few slice loops
+    /// rather than a bit-scan per lane. `runs().flatten()` visits exactly
+    /// the lanes of [`Mask::lanes`].
+    pub fn runs(&self) -> Runs<'_> {
+        Runs { bits: &self.bits, pos: 0 }
+    }
+
+    /// The active lanes for which `f` holds, as a new mask (`f` is
+    /// called for active lanes only, in increasing order).
+    pub fn filter(&self, mut f: impl FnMut(usize) -> bool) -> Mask {
+        let mut bits = u64::take(self.bits.len());
+        for (wi, (o, &w)) in bits.iter_mut().zip(&self.bits).enumerate() {
+            let mut rest = w;
+            while rest != 0 {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if f(wi * 64 + b) {
+                    *o |= 1 << b;
+                }
+            }
+        }
+        Mask { bits, len: self.len }
+    }
+
     /// Number of warps the block spans (including trailing partial warp).
     pub fn warp_count(&self) -> usize {
         self.len.div_ceil(WARP)
@@ -187,7 +215,10 @@ impl Mask {
 
     /// Number of warps with at least one active lane.
     pub fn active_warps(&self) -> usize {
-        (0..self.warp_count()).filter(|&w| self.warp_any(w)).count()
+        // Each word holds two whole warps (32 | 64), and bits past `len`
+        // are always clear, so a warp is active iff its half-word is
+        // non-zero.
+        self.bits.iter().map(|&w| (w as u32 != 0) as usize + ((w >> 32) != 0) as usize).sum()
     }
 
     /// Iterate active lanes of warp `w`.
@@ -203,6 +234,43 @@ impl Mask {
                 Some(base + b)
             }
         })
+    }
+}
+
+/// Iterator over a mask's maximal runs of active lanes (see
+/// [`Mask::runs`]).
+pub struct Runs<'a> {
+    bits: &'a [u64],
+    /// Lane index the next search starts from.
+    pos: usize,
+}
+
+impl Iterator for Runs<'_> {
+    type Item = std::ops::Range<usize>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut wi = self.pos / 64;
+        let mut w = *self.bits.get(wi)? & (u64::MAX << (self.pos % 64));
+        while w == 0 {
+            wi += 1;
+            w = *self.bits.get(wi)?;
+        }
+        let off = w.trailing_zeros() as usize;
+        let start = wi * 64 + off;
+        // Ones from `off` upward; a run reaching the top bit continues
+        // into the following words.
+        let mut end = start + (!(w >> off)).trailing_zeros() as usize;
+        while end % 64 == 0 {
+            wi += 1;
+            let Some(&next) = self.bits.get(wi) else { break };
+            let ones = next.trailing_ones() as usize;
+            end += ones;
+            if ones < 64 {
+                break;
+            }
+        }
+        self.pos = end;
+        Some(start..end)
     }
 }
 

@@ -4,7 +4,8 @@
 //! bits), allocated by kernels at block start — mirroring CUDA `__shared__`
 //! arrays. Bank-conflict accounting happens in [`crate::block::BlockCtx`],
 //! which knows the active mask; this module is pure storage plus the
-//! word-address arithmetic the bank model needs.
+//! word-address arithmetic and per-group conflict degree the bank model
+//! needs.
 
 use std::marker::PhantomData;
 
@@ -43,6 +44,36 @@ impl<T> ShPtr<T> {
         debug_assert!(idx < self.len, "shared OOB: index {idx} of {}", self.len);
         self.off_words + idx
     }
+}
+
+/// Serialization degree of one conflict group's shared access (a
+/// half-warp on CC 1.x, a warp on CC 2.x): the largest number of
+/// *distinct* word addresses that land in one of `banks` banks. Lanes
+/// reading the same word are served by one broadcast, so duplicates
+/// count once. `words` are the group's word addresses; `banks <= 64`.
+///
+/// A bank-occupancy bitset settles the common case in one pass: when no
+/// two words share a bank, the degree is at most 1. Only a group with a
+/// shared bank pays for the distinct-address count.
+pub fn bank_conflict_degree(words: &[u32], banks: usize) -> u32 {
+    debug_assert!((1..=64).contains(&banks));
+    let mut occupied = 0u64;
+    let mut clash = false;
+    for &w in words {
+        let bit = 1u64 << (w as usize % banks);
+        clash |= occupied & bit != 0;
+        occupied |= bit;
+    }
+    if !clash {
+        return u32::from(!words.is_empty());
+    }
+    let mut counts = [0u32; 64];
+    for (i, &w) in words.iter().enumerate() {
+        if !words[..i].contains(&w) {
+            counts[w as usize % banks] += 1;
+        }
+    }
+    counts[..banks].iter().copied().max().unwrap_or(0)
 }
 
 /// A block's shared memory arena.

@@ -1,8 +1,10 @@
 //! Property tests for the SIMT simulator.
 
-use aco_simt::coalesce::{coalesce_cc13_half_warp, lines_cc20};
+use aco_simt::cache::Cache;
+use aco_simt::coalesce::{coalesce_cc13_half_warp, lines_cc20, Transaction};
 use aco_simt::prelude::*;
 use aco_simt::rng::{park_miller, PmRng, PM_MODULUS};
+use aco_simt::shared::bank_conflict_degree;
 use aco_simt::{occupancy, Mask};
 use proptest::prelude::*;
 
@@ -161,5 +163,225 @@ proptest! {
         prop_assert!(rel < 0.15, "dram bytes off by {rel}");
         let relt = (sampled.time.total_ms - full.time.total_ms).abs() / full.time.total_ms;
         prop_assert!(relt < 0.20, "time off by {relt}");
+    }
+}
+
+// --- fast paths against their reference definitions -----------------------
+//
+// The simulator's memory models take one-pass shortcuts (sort-and-sweep
+// coalescing, a bank-occupancy bitset, run-wise lane loops, register-held
+// LRU victims). Each must agree exactly with the direct definition it
+// replaces; the references below are those definitions, written for
+// clarity rather than speed.
+
+/// CC 1.3 coalescing by definition: for every distinct 128-byte segment
+/// (ascending), rescan the half-warp for its lowest and highest access.
+fn coalesce_reference(addrs: &[u64]) -> Vec<Transaction> {
+    let mut segs: Vec<u64> = addrs.iter().map(|a| a & !127).collect();
+    segs.sort_unstable();
+    segs.dedup();
+    segs.iter()
+        .map(|&seg| {
+            let inside = || addrs.iter().filter(move |&&a| a & !127 == seg);
+            let lo = inside().map(|&a| a - seg).min().unwrap();
+            let hi = inside().map(|&a| a - seg + 3).max().unwrap();
+            if lo / 32 == hi / 32 {
+                Transaction { base: seg + lo / 32 * 32, bytes: 32 }
+            } else if lo / 64 == hi / 64 {
+                Transaction { base: seg + lo / 64 * 64, bytes: 64 }
+            } else {
+                Transaction { base: seg, bytes: 128 }
+            }
+        })
+        .collect()
+}
+
+/// Bank-conflict degree by definition: the most distinct words in any
+/// one bank.
+fn bank_degree_reference(words: &[u32], banks: usize) -> u32 {
+    let mut distinct = words.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    (0..banks)
+        .map(|b| distinct.iter().filter(|&&w| w as usize % banks == b).count() as u32)
+        .max()
+        .unwrap_or(0)
+}
+
+/// A half-warp's byte addresses in one of several shapes: scattered,
+/// duplicate-heavy, broadcast, ascending strided, or reversed.
+fn half_warp(shape: u32, base: u64, stride: u64, picks: &[u64]) -> Vec<u64> {
+    let word = |k: u64| 4 * (base + k);
+    match shape {
+        0 => picks.iter().map(|&p| word(p * 37 % 4096)).collect(),
+        1 => picks.iter().map(|&p| word(p % 3 * stride)).collect(),
+        2 => picks.iter().map(|_| word(0)).collect(),
+        3 => (0..picks.len() as u64).map(|i| word(i * stride)).collect(),
+        _ => (0..picks.len() as u64).rev().map(|i| word(i * stride)).collect(),
+    }
+}
+
+/// A mask of `len` lanes built from alternating run lengths, optionally
+/// XOR-ed with noise so single-lane runs and gaps occur too.
+fn mask_from_runs(len: usize, first_on: bool, runs: &[usize], noise: u64) -> Mask {
+    let mut bits = vec![false; len];
+    let (mut pos, mut on) = (0, first_on);
+    for &r in runs.iter().cycle().take(4 * len) {
+        if pos >= len {
+            break;
+        }
+        let end = (pos + r).min(len);
+        bits[pos..end].fill(on);
+        (pos, on) = (end, !on);
+    }
+    let mut x = noise;
+    Mask::from_fn(len, |i| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        bits[i] ^ (noise & 1 == 1 && x >> 60 == 0)
+    })
+}
+
+/// Set-associative LRU by definition: each set keeps its lines in
+/// recency order and evicts the oldest once `ways` are resident.
+struct LruReference {
+    line_bytes: u64,
+    ways: usize,
+    sets: Vec<Vec<u64>>,
+}
+
+impl LruReference {
+    fn new(capacity: u64, line_bytes: u64, ways: usize) -> Self {
+        let lines = (capacity / line_bytes) as usize;
+        let sets = (lines / ways).max(usize::from(lines > 0));
+        LruReference { line_bytes, ways, sets: vec![Vec::new(); sets] }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        if self.sets.is_empty() {
+            return false;
+        }
+        let line = addr / self.line_bytes;
+        let n = self.sets.len();
+        let set = &mut self.sets[line as usize % n];
+        let hit = set.iter().position(|&l| l == line).map(|i| set.remove(i)).is_some();
+        if !hit && set.len() == self.ways {
+            set.remove(0);
+        }
+        set.push(line);
+        hit
+    }
+}
+
+/// Shared loads through a block with a random active mask and random
+/// per-lane word indices: the charged conflicts must equal the reference
+/// degree summed over the device's conflict groups.
+struct SharedGather {
+    active: Vec<bool>,
+    idx: Vec<u32>,
+}
+
+impl Kernel for SharedGather {
+    fn name(&self) -> &'static str {
+        "shared_gather"
+    }
+    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
+        let sh = ctx.shared_alloc_u32(256);
+        let idx = ctx.reg_from_fn_u32(|l| self.idx[l]);
+        let cond = Mask::from_fn(self.active.len(), |l| self.active[l]);
+        ctx.with_mask(gm, &cond, |ctx, _| {
+            let _ = ctx.sh_ld_u32(sh, &idx);
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn sweep_coalescer_matches_the_rescan_definition(
+        shape in 0u32..5,
+        base in 0u64..5000,
+        stride in 1u64..80,
+        picks in prop::collection::vec(0u64..4096, 0..17),
+    ) {
+        let addrs = half_warp(shape, base, stride, &picks);
+        prop_assert_eq!(coalesce_cc13_half_warp(&addrs), coalesce_reference(&addrs));
+    }
+
+    #[test]
+    fn bank_bitset_degree_matches_the_distinct_count(
+        fermi in any::<bool>(),
+        span in 1u32..200,
+        raw in prop::collection::vec(0u32..100_000, 0..33),
+    ) {
+        let dev = if fermi { DeviceSpec::tesla_m2050() } else { DeviceSpec::tesla_c1060() };
+        let banks = dev.shared_banks as usize;
+        let group = if fermi { 32 } else { 16 };
+        let words: Vec<u32> = raw.iter().take(group).map(|w| w % span).collect();
+        prop_assert_eq!(bank_conflict_degree(&words, banks), bank_degree_reference(&words, banks));
+    }
+
+    #[test]
+    fn charged_bank_conflicts_match_the_per_group_definition(
+        fermi in any::<bool>(),
+        span in 1u32..256,
+        active in any::<[bool; 128]>(),
+        idx in any::<[u32; 128]>(),
+    ) {
+        let dev = if fermi { DeviceSpec::tesla_m2050() } else { DeviceSpec::tesla_c1060() };
+        let banks = dev.shared_banks as usize;
+        let group = if fermi { 32 } else { 16 };
+        let idx: Vec<u32> = idx.iter().map(|i| i % span).collect();
+        let k = SharedGather { active: active.to_vec(), idx: idx.clone() };
+        let cfg = LaunchConfig::new(1, 128).shared(256 * 4);
+        let r = launch(&dev, &cfg, &k, &mut GlobalMem::new(), SimMode::Full).expect("valid");
+        let expect: u32 = (0..128 / group)
+            .map(|g| {
+                let words: Vec<u32> =
+                    (g * group..(g + 1) * group).filter(|&l| active[l]).map(|l| idx[l]).collect();
+                bank_degree_reference(&words, banks).saturating_sub(1)
+            })
+            .sum();
+        prop_assert_eq!(r.stats.bank_conflict_extra, expect as f64);
+    }
+
+    #[test]
+    fn mask_runs_flatten_to_the_active_lanes(
+        len in 1usize..1025,
+        first_on in any::<bool>(),
+        runs in prop::collection::vec(1usize..90, 1..12),
+        noise in any::<u64>(),
+    ) {
+        let m = mask_from_runs(len, first_on, &runs, noise);
+        let flat: Vec<usize> = m.runs().flatten().collect();
+        prop_assert_eq!(flat, m.lanes().collect::<Vec<_>>());
+        // Runs are maximal: non-empty, and separated by at least one gap.
+        let rs: Vec<_> = m.runs().collect();
+        prop_assert!(rs.iter().all(|r| !r.is_empty()));
+        prop_assert!(rs.windows(2).all(|w| w[0].end < w[1].start));
+        prop_assert_eq!(m.active_warps(), (0..m.warp_count()).filter(|&w| m.warp_any(w)).count());
+        // `filter` keeps exactly the active lanes that pass.
+        let odd = m.filter(|l| l % 2 == 1);
+        prop_assert_eq!(
+            odd.lanes().collect::<Vec<_>>(),
+            m.lanes().filter(|l| l % 2 == 1).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn cache_matches_the_recency_list_definition(
+        sets in 1u64..12,
+        ways in 1usize..9,
+        line_pow in 5u32..8,
+        stream in prop::collection::vec(0u64..64, 1..400),
+    ) {
+        let line = 1u64 << line_pow;
+        let capacity = sets * ways as u64 * line;
+        let mut fast = Cache::new(capacity, line, ways);
+        let mut reference = LruReference::new(capacity, line, ways);
+        for &l in &stream {
+            let addr = l * line + l % line;
+            prop_assert_eq!(fast.access(addr), reference.access(addr), "line {}", l);
+        }
     }
 }
