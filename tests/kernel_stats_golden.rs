@@ -11,6 +11,7 @@
 //! * all eight Table II construction rows,
 //! * all five Tables III/IV pheromone rows,
 //! * the device 2-opt families (per-ant and batched) and Or-opt,
+//! * the GPU Ant Colony System's tour and global-update kernels,
 //!
 //! on both simulated devices at n = 48 and n = 300 (two data-parallel
 //! tiles; on the C1060 the task rows' shared tabu falls back to the
@@ -24,6 +25,8 @@
 
 use std::fmt::Write as _;
 
+use aco_gpu::core::gpu::acs::{AcsGlobalUpdateKernel, AcsTourKernel};
+use aco_gpu::core::gpu::choice::ChoiceKernel;
 use aco_gpu::core::gpu::{
     run_pheromone_threads, run_tour_threads, ColonyBuffers, PheromoneStrategy, TourStrategy,
 };
@@ -186,8 +189,39 @@ fn table(n: usize, ants: usize) -> String {
         let extra = format!(" rounds={} moves={}", r.rounds, r.moves);
         let digest = memory_digest(&gm, bufs);
         render(&mut out, &format!("{tag} or_opt all"), r.ms, &extra, &r.stats, digest);
+        acs(&mut out, &tag, &dev, n, ants);
     }
     out
+}
+
+/// One launch of each GPU ACS kernel, set up as the ACS colony does it:
+/// `tau = tau0` everywhere, `choice = eta^beta`, then the tour kernel,
+/// then the global update on the best ant it built.
+fn acs(out: &mut String, tag: &str, dev: &DeviceSpec, n: usize, ants: usize) {
+    let (mut gm, bufs) = colony(n, ants);
+    let inst = tsp::uniform_random("golden", n, 1000.0, 17 + n as u64);
+    let c_nn = tsp::nearest_neighbor_tour(inst.matrix(), 0).length(inst.matrix());
+    let tau0 = 1.0 / (n as f32 * c_nn as f32);
+    gm.f32_mut(bufs.tau).fill(tau0);
+    let eta = ChoiceKernel { bufs, alpha: 0.0, beta: 2.0 };
+    launch(dev, &eta.config(), &eta, &mut gm, SimMode::Full).unwrap();
+    bufs.clear_visited(&mut gm);
+    let tk = AcsTourKernel { bufs, q0: 0.9, xi: 0.1, tau0, seed: 5, iteration: 3 };
+    let r = launch_threads(dev, &tk.config(), &tk, &mut gm, SimMode::Full, 1).unwrap();
+    let digest = memory_digest(&gm, bufs);
+    render(out, &format!("{tag} acs_tour"), r.time.total_ms, "", &r.stats, digest);
+    let lens = bufs.read_lengths(&gm);
+    let best_ant = (0..lens.len()).min_by(|&a, &b| lens[a].total_cmp(&lens[b])).unwrap();
+    let uk = AcsGlobalUpdateKernel {
+        bufs,
+        best_ant: best_ant as u32,
+        best_len: lens[best_ant],
+        rho: 0.1,
+    };
+    let r = launch_threads(dev, &uk.config(), &uk, &mut gm, SimMode::Full, 1).unwrap();
+    let extra = format!(" best_ant={best_ant}");
+    let digest = memory_digest(&gm, bufs);
+    render(out, &format!("{tag} acs_global_update"), r.time.total_ms, &extra, &r.stats, digest);
 }
 
 fn golden_path(file: &str) -> std::path::PathBuf {
