@@ -17,8 +17,10 @@
 //! op — on a fully active 256-lane C1060 block with unit-stride
 //! addresses, plus rows for the shapes the colony kernels actually
 //! issue: per-ant strided global loads on both devices, a task kernel's
-//! partial mask (the first 48 of 128 lanes), and a block-reduction
-//! level's shared traffic. The allocation column is the regression
+//! partial mask (the first 48 of 128 lanes), a block-reduction
+//! level's shared traffic, and the scatter-to-gather pheromone update's
+//! step: a block-wide broadcast load on both devices and an integer
+//! equality compare. The allocation column is the regression
 //! tripwire for the pooled register file: every row must stay at (or
 //! very near) zero allocations per op once the thread-local pools are
 //! warm; a future change that reintroduces per-op `Vec` churn shows up
@@ -125,6 +127,21 @@ impl Kernel for OpKernel {
                     let _ = ctx.ld_global_f32(gm, self.buf_f, &rows);
                 }
             }
+            "global_ld_broadcast" | "global_ld_broadcast_m2050" => {
+                // Every lane reads one tour word, as each thread of the
+                // scatter-to-gather update does for every tour step.
+                let word = ctx.splat_u32(STRIDE);
+                for _ in 0..self.reps {
+                    let _ = ctx.ld_global_u32(gm, self.buf_u, &word);
+                }
+            }
+            "ueq" => {
+                let eight = ctx.splat_u32(8);
+                let b = ctx.imod(&a, &eight);
+                for _ in 0..self.reps {
+                    let _ = ctx.ueq(&a, &b);
+                }
+            }
             "fmul_48of128" | "cmp_select_48of128" => {
                 // A task kernel's mask: 48 ants in a 128-thread block.
                 let ants = ctx.splat_u32(48);
@@ -192,7 +209,6 @@ impl Kernel for OpKernel {
             "roulette_loop" => {
                 // A loop_while whose lanes retire progressively — the
                 // divergence pattern of the proportional roulette.
-                let _ = self.buf_u;
                 for _ in 0..self.reps / 16 {
                     let mut trips = ctx.splat_u32(0);
                     let one = ctx.splat_u32(1);
@@ -274,7 +290,7 @@ fn run_launches(threads: usize) -> LaunchAllocResult {
 /// single-threaded reference and a forked-shadow run.
 const LAUNCH_THREADS: [usize; 2] = [1, 4];
 
-const OPS: [&str; 17] = [
+const OPS: [&str; 20] = [
     "fmul",
     "fma",
     "fdiv_sfu",
@@ -292,6 +308,9 @@ const OPS: [&str; 17] = [
     "fmul_48of128",
     "cmp_select_48of128",
     "shared_reduce",
+    "global_ld_broadcast",
+    "global_ld_broadcast_m2050",
+    "ueq",
 ];
 
 /// Word stride between lanes of the strided-load rows: a padded tour row

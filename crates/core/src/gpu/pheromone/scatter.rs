@@ -374,9 +374,10 @@ mod tests {
         let tiled = run_mode(&mut gm, ScatterMode::Tiled);
         let reduced = run_mode(&mut gm, ScatterMode::TiledReduced);
         assert!(plain.stats.ld_transactions > 5.0 * tiled.stats.ld_transactions);
-        // Half the cells means half the blocks asymptotically; at n = 32
-        // the block counts only drop 4 -> 3 (whole blocks stage tours), so
-        // require the ratio to exceed that floor.
+        // Half the cells means half the blocks asymptotically; at n = 64
+        // with THETA = 256 the block counts only drop 16 -> 9 (n^2 = 4096
+        // vs n(n+1)/2 = 2080 cells, and whole blocks stage tours), so
+        // require the ratio to exceed a floor below that.
         assert!(tiled.stats.ld_transactions > 1.2 * reduced.stats.ld_transactions);
         assert!(plain.time.total_ms > tiled.time.total_ms);
         assert!(tiled.time.total_ms > reduced.time.total_ms);

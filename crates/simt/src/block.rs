@@ -15,7 +15,9 @@
 //! CC 1.x, as the paper discusses for the Tesla C1060).
 
 use crate::cache::Cache;
-use crate::coalesce::{coalesce_cc13_half_warp_into, lines_cc20_into, Transaction};
+use crate::coalesce::{
+    coalesce_cc13_half_warp_into, lines_cc20_into, word_transaction, Transaction,
+};
 use crate::device::DeviceSpec;
 use crate::global::{elem_addr, oob_load, DevicePtr, GlobalMem};
 use crate::mask::{Mask, WARP};
@@ -385,7 +387,7 @@ impl<'a> BlockCtx<'a> {
 
     fn cmp<T: PoolItem>(&mut self, a: &Reg<T>, b: &Reg<T>, f: impl Fn(T, T) -> bool) -> Mask {
         self.charge(Op::FAlu, 1);
-        self.active().filter(|lane| f(a.0[lane], b.0[lane]))
+        self.active().and_where(&a.0, &b.0, f)
     }
 
     pub fn flt(&mut self, a: &Reg<f32>, b: &Reg<f32>) -> Mask {
@@ -413,12 +415,35 @@ impl<'a> BlockCtx<'a> {
         self.cmp(a, b, |x, y| x != y)
     }
 
+    /// `m ? a : b` on active lanes, 0 elsewhere, reading both masks a
+    /// 64-lane word at a time. A fully active word copies the side most
+    /// of its lanes take and patches the others lane by lane.
     fn sel<T: PoolItem>(&mut self, m: &Mask, a: &Reg<T>, b: &Reg<T>) -> Reg<T> {
         self.charge(Op::Mov, 1);
         let mut out = T::take(self.block_dim as usize);
-        for r in self.active().runs() {
-            for lane in r {
-                out[lane] = if m.get(lane) { a.0[lane] } else { b.0[lane] };
+        let words = self.active().words().iter().zip(m.words());
+        let lanes = out.chunks_mut(64).zip(a.0.chunks(64).zip(b.0.chunks(64)));
+        for ((&active, &cond), (o, (a, b))) in words.zip(lanes) {
+            let full = u64::MAX >> (64 - o.len());
+            if active == full {
+                let (most, rest, mut patch) = if 2 * (cond.count_ones() as usize) <= o.len() {
+                    (b, a, cond)
+                } else {
+                    (a, b, !cond & full)
+                };
+                o.copy_from_slice(most);
+                while patch != 0 {
+                    let i = patch.trailing_zeros() as usize;
+                    o[i] = rest[i];
+                    patch &= patch - 1;
+                }
+                continue;
+            }
+            let mut lanes = active;
+            while lanes != 0 {
+                let i = lanes.trailing_zeros() as usize;
+                o[i] = if (cond >> i) & 1 == 1 { a[i] } else { b[i] };
+                lanes &= lanes - 1;
             }
         }
         Reg(out)
@@ -716,7 +741,21 @@ impl<'a> BlockCtx<'a> {
 
     // --- global memory -----------------------------------------------------------
 
-    fn charge_global_access(&mut self, gm: &GlobalMem, buf_id: u32, idx: &Reg<u32>, store: bool) {
+    /// Charge one global access instruction: coalescing (CC 1.3) or L1
+    /// lines (CC 2.0) per active warp. Returns the index every active
+    /// lane uses when the whole access is one broadcast word, so the
+    /// functional half can skip its per-lane walk.
+    ///
+    /// A warp whose active lanes all use one index is charged in closed
+    /// form — exactly what the general path charges for it: one 32-byte
+    /// transaction per non-empty half-warp on CC 1.3, one line on CC 2.0.
+    fn charge_global_access(
+        &mut self,
+        gm: &GlobalMem,
+        buf_id: u32,
+        idx: &Reg<u32>,
+        store: bool,
+    ) -> Option<u32> {
         self.charge(Op::MemIssue, 1);
         let mut addrs = std::mem::take(&mut self.scratch_addrs);
         let mut lines = std::mem::take(&mut self.scratch_lines);
@@ -726,59 +765,61 @@ impl<'a> BlockCtx<'a> {
         stats.mem_warp_instructions += active.active_warps() as f64;
         let fermi = self.device.compute_capability.is_fermi();
         let base = gm.base(buf_id);
+        // `Some(Some(i))`: every active warp so far broadcast index `i`.
+        let mut block_uniform: Option<Option<u32>> = None;
         for w in 0..active.warp_count() {
-            if !active.warp_any(w) {
+            let bits = active.warp_bits(w);
+            if bits == 0 {
                 continue;
             }
-            // Lane addresses in ascending lane order; `half` counts the
-            // lanes of the warp's first half (a prefix, since lanes are
-            // ascending).
-            addrs.clear();
-            let mut half = 0usize;
-            for lane in active.warp_lanes(w) {
-                if lane % WARP < WARP / 2 {
-                    half += 1;
-                }
-                addrs.push(elem_addr(base, idx.0[lane]));
-            }
+            let lane0 = w * WARP;
+            let lanes = &idx.0[lane0..(lane0 + WARP).min(idx.0.len())];
+            let uniform = warp_uniform(bits, lanes);
+            block_uniform = match (block_uniform, uniform) {
+                (None, u) => Some(u),
+                (Some(Some(b)), Some(u)) if b == u => Some(Some(b)),
+                _ => Some(None),
+            };
             // Partition camping: a warp-wide broadcast load means every
             // concurrently running block is reading this address right now,
             // all hammering one DRAM partition — traffic is effectively
             // serialized by `broadcast_camping`.
-            let camping = if !store && addrs.len() >= 16 && addrs.iter().all(|&a| a == addrs[0]) {
+            let camping = if !store && uniform.is_some() && bits.count_ones() >= 16 {
                 self.device.broadcast_camping
             } else {
                 1.0
             };
+            if let Some(i) = uniform {
+                let addr = elem_addr(base, i);
+                if fermi {
+                    charge_line(stats, self.l1, addr & !127, store, camping);
+                } else {
+                    let bytes = word_transaction(addr).bytes;
+                    for half in [bits & 0xFFFF, bits >> 16] {
+                        if half != 0 {
+                            charge_transaction(stats, bytes, store, camping);
+                        }
+                    }
+                }
+                continue;
+            }
+            // Lane addresses in ascending lane order: the first `half`
+            // belong to the warp's first half-warp.
+            addrs.clear();
+            addrs.extend(active.warp_lanes(w).map(|lane| elem_addr(base, idx.0[lane])));
+            let half = (bits & 0xFFFF).count_ones() as usize;
             if fermi {
                 // L1-cached loads; stores go straight through in line units.
                 lines_cc20_into(&addrs, &mut lines);
                 for &line in &lines {
-                    if !store && self.l1.access(line) {
-                        stats.l1_hits += 1.0;
-                    } else {
-                        if !store {
-                            stats.l1_misses += 1.0;
-                        }
-                        stats.dram_bytes += 128.0 * camping;
-                        if store {
-                            stats.st_transactions += 1.0;
-                        } else {
-                            stats.ld_transactions += 1.0;
-                        }
-                    }
+                    charge_line(stats, self.l1, line, store, camping);
                 }
             } else {
                 // CC 1.3: segment coalescing per half-warp, no cache.
                 for part in [&addrs[..half], &addrs[half..]] {
                     coalesce_cc13_half_warp_into(part, &mut lines, &mut txns);
                     for t in &txns {
-                        stats.dram_bytes += t.bytes as f64 * camping;
-                        if store {
-                            stats.st_transactions += 1.0;
-                        } else {
-                            stats.ld_transactions += 1.0;
-                        }
+                        charge_transaction(stats, t.bytes, store, camping);
                     }
                 }
             }
@@ -786,19 +827,37 @@ impl<'a> BlockCtx<'a> {
         self.scratch_addrs = addrs;
         self.scratch_lines = lines;
         self.scratch_txns = txns;
+        block_uniform.flatten()
     }
 
     /// Functional half of a global load: `src[idx[lane]]` for every
     /// active lane, with the buffer resolved once per operation (`kind`
-    /// and `id` name the buffer in the out-of-bounds panic).
-    fn gather_global<T: PoolItem>(&self, kind: &str, id: u32, src: &[T], idx: &Reg<u32>) -> Reg<T> {
+    /// and `id` name the buffer in the out-of-bounds panic). A broadcast
+    /// (`uniform`, from [`Self::charge_global_access`]) is one bounds
+    /// check and a fill.
+    fn gather_global<T: PoolItem>(
+        &self,
+        kind: &str,
+        id: u32,
+        src: &[T],
+        idx: &Reg<u32>,
+        uniform: Option<u32>,
+    ) -> Reg<T> {
+        let load = |i: u32| match src.get(i as usize) {
+            Some(&x) => x,
+            None => oob_load(kind, id, src.len(), i as usize),
+        };
         let mut out = T::take(self.block_dim as usize);
+        if let Some(i) = uniform {
+            let x = load(i);
+            for r in self.active().runs() {
+                out[r].fill(x);
+            }
+            return Reg(out);
+        }
         for r in self.active().runs() {
             for (o, &i) in out[r.clone()].iter_mut().zip(&idx.0[r]) {
-                *o = match src.get(i as usize) {
-                    Some(&x) => x,
-                    None => oob_load(kind, id, src.len(), i as usize),
-                };
+                *o = load(i);
             }
         }
         Reg(out)
@@ -811,8 +870,8 @@ impl<'a> BlockCtx<'a> {
         ptr: DevicePtr<f32>,
         idx: &Reg<u32>,
     ) -> Reg<f32> {
-        self.charge_global_access(gm, ptr.id, idx, false);
-        self.gather_global("f32", ptr.id, gm.f32(ptr), idx)
+        let uniform = self.charge_global_access(gm, ptr.id, idx, false);
+        self.gather_global("f32", ptr.id, gm.f32(ptr), idx, uniform)
     }
 
     /// Global load, u32.
@@ -822,8 +881,8 @@ impl<'a> BlockCtx<'a> {
         ptr: DevicePtr<u32>,
         idx: &Reg<u32>,
     ) -> Reg<u32> {
-        self.charge_global_access(gm, ptr.id, idx, false);
-        self.gather_global("u32", ptr.id, gm.u32(ptr), idx)
+        let uniform = self.charge_global_access(gm, ptr.id, idx, false);
+        self.gather_global("u32", ptr.id, gm.u32(ptr), idx, uniform)
     }
 
     /// Global store, f32 (lane order resolves same-address races).
@@ -1008,5 +1067,44 @@ impl<'a> BlockCtx<'a> {
     /// Bytes of shared memory the block has allocated so far.
     pub fn shared_used_bytes(&self) -> u32 {
         self.shared.used_bytes()
+    }
+}
+
+/// The index every active lane of a warp uses, if they all agree.
+/// `bits` is the warp's (non-zero) activity pattern and `idx` its lanes.
+fn warp_uniform(bits: u32, idx: &[u32]) -> Option<u32> {
+    let first = idx[bits.trailing_zeros() as usize];
+    let uniform = if bits == u32::MAX {
+        idx.iter().fold(0, |acc, &i| acc | (i ^ first)) == 0
+    } else {
+        let mut differ = 0u32;
+        for (lane, &i) in idx.iter().enumerate() {
+            differ |= ((i != first) as u32) << lane;
+        }
+        differ & bits == 0
+    };
+    uniform.then_some(first)
+}
+
+/// Account one 128-byte line of a CC 2.0 access: loads go through the
+/// L1, misses and stores cost a DRAM line transaction.
+fn charge_line(stats: &mut KernelStats, l1: &mut Cache, line: u64, store: bool, camping: f64) {
+    if !store && l1.access(line) {
+        stats.l1_hits += 1.0;
+        return;
+    }
+    if !store {
+        stats.l1_misses += 1.0;
+    }
+    charge_transaction(stats, 128, store, camping);
+}
+
+/// Account one DRAM transaction of `bytes`.
+fn charge_transaction(stats: &mut KernelStats, bytes: u32, store: bool, camping: f64) {
+    stats.dram_bytes += bytes as f64 * camping;
+    if store {
+        stats.st_transactions += 1.0;
+    } else {
+        stats.ld_transactions += 1.0;
     }
 }

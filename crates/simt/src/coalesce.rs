@@ -58,6 +58,14 @@ pub fn coalesce_cc13_half_warp_into(
     out.push(segment_transaction(seg, lo - seg, last - seg + 3));
 }
 
+/// The transaction for a half-warp whose active lanes all access the one
+/// 4-byte word at `addr` (a broadcast): what
+/// [`coalesce_cc13_half_warp`] issues for it.
+pub(crate) fn word_transaction(addr: u64) -> Transaction {
+    let seg = addr & !127;
+    segment_transaction(seg, addr - seg, addr - seg + 3)
+}
+
 /// The transaction for one segment whose accesses span byte offsets
 /// `lo..=hi`: shrunk to an aligned 32/64-byte window when possible.
 fn segment_transaction(seg: u64, lo: u64, hi: u64) -> Transaction {

@@ -171,21 +171,40 @@ impl Mask {
         Runs { bits: &self.bits, pos: 0 }
     }
 
-    /// The active lanes for which `f` holds, as a new mask (`f` is
-    /// called for active lanes only, in increasing order).
-    pub fn filter(&self, mut f: impl FnMut(usize) -> bool) -> Mask {
+    /// The lanes of `self` where `f(a[lane], b[lane])` holds, as a new
+    /// mask. Each 64-lane word is built branch-free from the operand
+    /// slices and then ANDed with the active word, so `f` also runs on
+    /// inactive lanes (and must be a pure comparison).
+    pub(crate) fn and_where<T: Copy>(&self, a: &[T], b: &[T], f: impl Fn(T, T) -> bool) -> Mask {
+        debug_assert!(a.len() == self.len && b.len() == self.len);
         let mut bits = u64::take(self.bits.len());
-        for (wi, (o, &w)) in bits.iter_mut().zip(&self.bits).enumerate() {
-            let mut rest = w;
-            while rest != 0 {
-                let b = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                if f(wi * 64 + b) {
-                    *o |= 1 << b;
-                }
+        let lanes = a.chunks(64).zip(b.chunks(64));
+        for ((o, &active), (a, b)) in bits.iter_mut().zip(&self.bits).zip(lanes) {
+            if active == 0 {
+                continue;
             }
+            // One 0/1 byte per lane (a vectorisable loop), then eight
+            // lanes per multiply: byte `k` of `v` lands on bit `k` of the
+            // product's top byte.
+            let mut flags = [0u8; 64];
+            for ((flag, &x), &y) in flags.iter_mut().zip(a).zip(b) {
+                *flag = f(x, y) as u8;
+            }
+            let mut word = 0u64;
+            for (k, eight) in flags.chunks_exact(8).enumerate() {
+                let v = u64::from_le_bytes(eight.try_into().expect("chunks of 8"));
+                word |= (v.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+            }
+            *o = word & active;
         }
         Mask { bits, len: self.len }
+    }
+
+    /// The backing words: lane `l` is bit `l % 64` of word `l / 64`, and
+    /// bits past [`Mask::len`] are always clear.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
     }
 
     /// Number of warps the block spans (including trailing partial warp).

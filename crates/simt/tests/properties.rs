@@ -1,5 +1,7 @@
 //! Property tests for the SIMT simulator.
 
+use std::sync::Mutex;
+
 use aco_simt::cache::Cache;
 use aco_simt::coalesce::{coalesce_cc13_half_warp, lines_cc20, Transaction};
 use aco_simt::prelude::*;
@@ -360,12 +362,6 @@ proptest! {
         prop_assert!(rs.iter().all(|r| !r.is_empty()));
         prop_assert!(rs.windows(2).all(|w| w[0].end < w[1].start));
         prop_assert_eq!(m.active_warps(), (0..m.warp_count()).filter(|&w| m.warp_any(w)).count());
-        // `filter` keeps exactly the active lanes that pass.
-        let odd = m.filter(|l| l % 2 == 1);
-        prop_assert_eq!(
-            odd.lanes().collect::<Vec<_>>(),
-            m.lanes().filter(|l| l % 2 == 1).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -384,4 +380,385 @@ proptest! {
             prop_assert_eq!(fast.access(addr), reference.access(addr), "line {}", l);
         }
     }
+}
+
+// --- broadcast accesses, word-wise compares and selects ---------------------
+//
+// A global access whose active lanes all use one index is charged in
+// closed form, a block-wide broadcast load is one bounds check and a
+// fill, comparisons build whole mask words and selects read the
+// condition a word at a time. The references below are the per-lane
+// definitions those shortcuts replace.
+
+/// Block sizes with whole, partial and two-word warps.
+const BLOCKS: [usize; 4] = [40, 96, 130, 256];
+
+/// Words in the probed buffer (every generated index fits).
+const PROBE_WORDS: usize = 8192;
+
+/// One global access of `idx` (a load, or a store of `lane + 1`) under
+/// the mask `active`, then full-block loads that show the L1 state the
+/// access left behind: lane `l` of follow-up `(start, spread)` reads
+/// `start + l % spread`.
+struct GlobalProbe {
+    buf: DevicePtr<u32>,
+    active: Vec<bool>,
+    idx: Vec<u32>,
+    store: bool,
+    follow: Vec<(u32, u32)>,
+    loaded: Mutex<Vec<u32>>,
+}
+
+impl Kernel for GlobalProbe {
+    fn name(&self) -> &'static str {
+        "global_probe"
+    }
+    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
+        let idx = ctx.reg_from_fn_u32(|l| self.idx[l]);
+        let val = ctx.reg_from_fn_u32(|l| l as u32 + 1);
+        let cond = Mask::from_fn(self.active.len(), |l| self.active[l]);
+        ctx.with_mask(gm, &cond, |ctx, gm| {
+            if self.store {
+                ctx.st_global_u32(gm, self.buf, &idx, &val);
+            } else {
+                let v = ctx.ld_global_u32(gm, self.buf, &idx);
+                *self.loaded.lock().unwrap() = v.as_slice().to_vec();
+            }
+        });
+        for &(start, spread) in &self.follow {
+            let f = ctx.reg_from_fn_u32(|l| start + l as u32 % spread);
+            let _ = ctx.ld_global_u32(gm, self.buf, &f);
+        }
+    }
+}
+
+/// Charge `warps` warp-instructions of a base-cost op to SM 0.
+fn charge_reference(dev: &DeviceSpec, s: &mut KernelStats, warps: usize) {
+    s.warp_instructions += warps as f64;
+    s.issue_cycles_per_sm[0] += (warps * dev.issue_cycles_per_warp as usize) as f64;
+}
+
+/// One global access by definition: for each warp with active lanes,
+/// coalesce its half-warps (CC 1.3) or walk its distinct lines through
+/// the L1 (CC 2.0); a load of one word by 16 or more lanes of a warp
+/// pays `broadcast_camping`. `lanes` are `(lane, index)` in lane order.
+fn access_reference(
+    dev: &DeviceSpec,
+    l1: &mut Cache,
+    s: &mut KernelStats,
+    lanes: &[(usize, u32)],
+    store: bool,
+) {
+    // The probe buffer is the first in a fresh arena, based at 256.
+    let addr = |i: u32| 256 + 4 * i as u64;
+    let fermi = dev.compute_capability.is_fermi();
+    let warps: Vec<usize> = {
+        let mut w: Vec<usize> = lanes.iter().map(|&(l, _)| l / 32).collect();
+        w.dedup();
+        w
+    };
+    charge_reference(dev, s, warps.len());
+    s.mem_warp_instructions += warps.len() as f64;
+    for w in warps {
+        let warp: Vec<(usize, u64)> =
+            lanes.iter().filter(|&&(l, _)| l / 32 == w).map(|&(l, i)| (l, addr(i))).collect();
+        let addrs: Vec<u64> = warp.iter().map(|&(_, a)| a).collect();
+        let camping = if !store && addrs.len() >= 16 && addrs.iter().all(|&a| a == addrs[0]) {
+            dev.broadcast_camping
+        } else {
+            1.0
+        };
+        let mut count = |bytes: f64| {
+            s.dram_bytes += bytes * camping;
+            if store {
+                s.st_transactions += 1.0;
+            } else {
+                s.ld_transactions += 1.0;
+            }
+        };
+        if fermi {
+            for line in lines_cc20(&addrs) {
+                if !store && l1.access(line) {
+                    s.l1_hits += 1.0;
+                } else {
+                    if !store {
+                        s.l1_misses += 1.0;
+                    }
+                    count(128.0);
+                }
+            }
+        } else {
+            for first_half in [true, false] {
+                let part: Vec<u64> = warp
+                    .iter()
+                    .filter(|&&(l, _)| (l % 32 < 16) == first_half)
+                    .map(|x| x.1)
+                    .collect();
+                for t in coalesce_cc13_half_warp(&part) {
+                    count(t.bytes as f64);
+                }
+            }
+        }
+    }
+}
+
+/// Probe indices of one of several shapes around index `u`: a pure
+/// broadcast, a broadcast with one differing lane, a different
+/// broadcast per warp, or scattered.
+fn probe_indices(
+    shape: u32,
+    block: usize,
+    u: u32,
+    delta: u32,
+    odd: usize,
+    raw: &[u32],
+) -> Vec<u32> {
+    (0..block)
+        .map(|l| match shape {
+            0 => u,
+            1 if l == odd % block => u + delta,
+            1 => u,
+            2 => u + (l / 32) as u32 * (delta % 3),
+            _ => raw[l] % 4096,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    #[test]
+    fn broadcast_accesses_charge_exactly_what_the_per_lane_model_does(
+        block_pick in 0usize..4,
+        fermi in any::<bool>(),
+        store in any::<bool>(),
+        density in 0u32..33,
+        active_raw in any::<[u32; 256]>(),
+        shape in 0u32..4,
+        u in 0u32..3000,
+        delta in 1u32..300,
+        odd in any::<usize>(),
+        raw in any::<[u32; 256]>(),
+        follow in prop::collection::vec((0u32..3200, 1u32..70), 0..4),
+    ) {
+        let dev = if fermi { DeviceSpec::tesla_m2050() } else { DeviceSpec::tesla_c1060() };
+        let block = BLOCKS[block_pick];
+        // `density` of 32 lanes active on average: low densities leave
+        // warps with fewer than 16 active lanes.
+        let active: Vec<bool> = (0..block).map(|l| active_raw[l] % 32 < density).collect();
+        let idx = probe_indices(shape, block, u, delta, odd, &raw);
+        let lanes: Vec<(usize, u32)> = (0..block).filter(|&l| active[l]).map(|l| (l, idx[l])).collect();
+        let init: Vec<u32> = (0..PROBE_WORDS as u32).map(|i| i.wrapping_mul(2654435761)).collect();
+
+        // Counters after the access and each prefix of the follow-up
+        // stream: equal totals at every prefix pin the L1 hit/miss
+        // sequence, not just its sum.
+        let mut want = KernelStats::for_sms(dev.sm_count as usize);
+        let mut l1 = Cache::new(if dev.has_l1 { dev.l1_bytes as u64 } else { 0 }, 128, 8);
+        charge_reference(&dev, &mut want, 2 * block.div_ceil(32));
+        access_reference(&dev, &mut l1, &mut want, &lanes, store);
+        for k in 0..=follow.len() {
+            if k > 0 {
+                let (start, spread) = follow[k - 1];
+                let f: Vec<(usize, u32)> = (0..block).map(|l| (l, start + l as u32 % spread)).collect();
+                charge_reference(&dev, &mut want, block.div_ceil(32));
+                access_reference(&dev, &mut l1, &mut want, &f, false);
+            }
+            let mut gm = GlobalMem::new();
+            let buf = gm.alloc_u32(PROBE_WORDS);
+            gm.u32_mut(buf).copy_from_slice(&init);
+            let probe = GlobalProbe {
+                buf,
+                active: active.clone(),
+                idx: idx.clone(),
+                store,
+                follow: follow[..k].to_vec(),
+                loaded: Mutex::new(vec![0; block]),
+            };
+            let r = launch(&dev, &LaunchConfig::new(1, block as u32), &probe, &mut gm, SimMode::Full)
+                .expect("valid launch");
+            prop_assert_eq!(&r.stats, &want, "after {} follow-up loads", k);
+
+            // Functional results: loads read memory on active lanes (0
+            // elsewhere); stores land in lane order.
+            let mut mem = init.clone();
+            let mut loaded = vec![0u32; block];
+            for &(l, i) in &lanes {
+                if store {
+                    mem[i as usize] = l as u32 + 1;
+                } else {
+                    loaded[l] = init[i as usize];
+                }
+            }
+            prop_assert_eq!(gm.u32(buf), &mem[..]);
+            prop_assert_eq!(&*probe.loaded.lock().unwrap(), &loaded);
+        }
+    }
+}
+
+/// Every comparison and both selects under the mask `active`, with the
+/// results captured for the per-lane references.
+struct CmpProbe {
+    fa: DevicePtr<f32>,
+    fb: DevicePtr<f32>,
+    active: Vec<bool>,
+    ua: Vec<u32>,
+    ub: Vec<u32>,
+    cond: Vec<bool>,
+    out: Mutex<Option<CmpOut>>,
+}
+
+struct CmpOut {
+    /// `flt, fle, fge, fgt, ult, ule, ueq, une`, lane by lane.
+    masks: Vec<Vec<bool>>,
+    sel_f32: Vec<f32>,
+    sel_u32: Vec<u32>,
+}
+
+impl Kernel for CmpProbe {
+    fn name(&self) -> &'static str {
+        "cmp_probe"
+    }
+    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
+        let tid = ctx.thread_idx();
+        let fa = ctx.ld_global_f32(gm, self.fa, &tid);
+        let fb = ctx.ld_global_f32(gm, self.fb, &tid);
+        let ua = ctx.reg_from_fn_u32(|l| self.ua[l]);
+        let ub = ctx.reg_from_fn_u32(|l| self.ub[l]);
+        let cond = Mask::from_fn(self.cond.len(), |l| self.cond[l]);
+        let active = Mask::from_fn(self.active.len(), |l| self.active[l]);
+        ctx.with_mask(gm, &active, |ctx, _| {
+            let ms = [
+                ctx.flt(&fa, &fb),
+                ctx.fle(&fa, &fb),
+                ctx.fge(&fa, &fb),
+                ctx.fgt(&fa, &fb),
+                ctx.ult(&ua, &ub),
+                ctx.ule(&ua, &ub),
+                ctx.ueq(&ua, &ub),
+                ctx.une(&ua, &ub),
+            ];
+            let sel_f32 = ctx.select_f32(&cond, &fa, &fb).as_slice().to_vec();
+            let sel_u32 = ctx.select_u32(&cond, &ua, &ub).as_slice().to_vec();
+            let masks = ms.iter().map(|m| (0..m.len()).map(|l| m.get(l)).collect()).collect();
+            *self.out.lock().unwrap() = Some(CmpOut { masks, sel_f32, sel_u32 });
+        });
+    }
+}
+
+/// An f32 operand: NaN, ±0.0, ±inf, a small integer (so equal pairs
+/// are common) or arbitrary bits.
+fn f32_operand(raw: u32) -> f32 {
+    match raw % 8 {
+        0 => f32::NAN,
+        1 => -0.0,
+        2 => 0.0,
+        3 => f32::INFINITY,
+        4 => f32::NEG_INFINITY,
+        5 | 6 => (raw >> 3) as f32 % 4.0,
+        _ => f32::from_bits(raw),
+    }
+}
+
+/// A u32 operand: 0, `u32::MAX`, a small integer or arbitrary bits.
+fn u32_operand(raw: u32) -> u32 {
+    match raw % 6 {
+        0 => 0,
+        1 => u32::MAX,
+        2 | 3 => (raw >> 3) % 4,
+        _ => raw,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn word_wise_compares_and_selects_match_the_per_lane_definitions(
+        block_pick in 0usize..4,
+        density in 0u32..33,
+        active_raw in any::<[u32; 256]>(),
+        raw_a in any::<[u32; 256]>(),
+        raw_b in any::<[u32; 256]>(),
+        cond in any::<[bool; 256]>(),
+    ) {
+        let dev = DeviceSpec::tesla_c1060();
+        let block = BLOCKS[block_pick];
+        let active: Vec<bool> = (0..block).map(|l| active_raw[l] % 32 < density).collect();
+        let fa: Vec<f32> = raw_a[..block].iter().map(|&r| f32_operand(r)).collect();
+        let fb: Vec<f32> = raw_b[..block].iter().map(|&r| f32_operand(r)).collect();
+        let ua: Vec<u32> = raw_a[..block].iter().map(|&r| u32_operand(r.rotate_left(7))).collect();
+        let ub: Vec<u32> = raw_b[..block].iter().map(|&r| u32_operand(r.rotate_left(7))).collect();
+        let mut gm = GlobalMem::new();
+        let (pa, pb) = (gm.alloc_f32(block), gm.alloc_f32(block));
+        gm.f32_mut(pa).copy_from_slice(&fa);
+        gm.f32_mut(pb).copy_from_slice(&fb);
+        let probe = CmpProbe {
+            fa: pa,
+            fb: pb,
+            active: active.clone(),
+            ua: ua.clone(),
+            ub: ub.clone(),
+            cond: cond[..block].to_vec(),
+            out: Mutex::new(None),
+        };
+        launch(&dev, &LaunchConfig::new(1, block as u32), &probe, &mut gm, SimMode::Full)
+            .expect("valid launch");
+        let Some(out) = probe.out.into_inner().unwrap() else {
+            prop_assert!(!active.contains(&true), "the probe ran under a non-empty mask");
+            return Ok(());
+        };
+        let fcmp: [fn(f32, f32) -> bool; 4] = [|x, y| x < y, |x, y| x <= y, |x, y| x >= y, |x, y| x > y];
+        let ucmp: [fn(u32, u32) -> bool; 4] = [|x, y| x < y, |x, y| x <= y, |x, y| x == y, |x, y| x != y];
+        for (c, f) in fcmp.iter().enumerate() {
+            let want: Vec<bool> = (0..block).map(|l| active[l] && f(fa[l], fb[l])).collect();
+            prop_assert_eq!(&out.masks[c], &want, "f32 comparison {}", c);
+        }
+        for (c, f) in ucmp.iter().enumerate() {
+            let want: Vec<bool> = (0..block).map(|l| active[l] && f(ua[l], ub[l])).collect();
+            prop_assert_eq!(&out.masks[4 + c], &want, "u32 comparison {}", c);
+        }
+        let pick = |l: usize, a: u32, b: u32| if !active[l] { 0 } else if cond[l] { a } else { b };
+        let want_f: Vec<u32> = (0..block).map(|l| pick(l, fa[l].to_bits(), fb[l].to_bits())).collect();
+        let got_f: Vec<u32> = out.sel_f32.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got_f, want_f);
+        let want_u: Vec<u32> = (0..block).map(|l| pick(l, ua[l], ub[l])).collect();
+        prop_assert_eq!(out.sel_u32, want_u);
+    }
+}
+
+/// Loads `idx` (one index per lane) from a 4-word buffer.
+struct OobLoad {
+    buf: DevicePtr<u32>,
+    idx: Vec<u32>,
+}
+
+impl Kernel for OobLoad {
+    fn name(&self) -> &'static str {
+        "oob_load"
+    }
+    fn run_block(&self, ctx: &mut BlockCtx, gm: &mut GlobalMem) {
+        let idx = ctx.reg_from_fn_u32(|l| self.idx[l]);
+        let _ = ctx.ld_global_u32(gm, self.buf, &idx);
+    }
+}
+
+fn oob_load(idx: Vec<u32>) {
+    let mut gm = GlobalMem::new();
+    let buf = gm.alloc_u32(4);
+    let k = OobLoad { buf, idx };
+    let _ =
+        launch(&DeviceSpec::tesla_c1060(), &LaunchConfig::new(1, 64), &k, &mut gm, SimMode::Full);
+}
+
+#[test]
+#[should_panic(expected = "device OOB load: u32 buffer #0 has 4 elements, index 9")]
+fn broadcast_load_past_the_end_panics_with_the_per_lane_message() {
+    oob_load(vec![9; 64]);
+}
+
+#[test]
+#[should_panic(expected = "device OOB load: u32 buffer #0 has 4 elements, index 7")]
+fn per_lane_load_past_the_end_names_the_first_bad_lane() {
+    oob_load((0..64).map(|l| if l < 5 { 1 } else { l + 2 }).collect());
 }

@@ -42,8 +42,12 @@ fn devices() -> [(&'static str, DeviceSpec); 2] {
     [("c1060", DeviceSpec::tesla_c1060()), ("m2050", DeviceSpec::tesla_m2050())]
 }
 
+fn instance(n: usize) -> tsp::TspInstance {
+    tsp::uniform_random("golden", n, 1000.0, 17 + n as u64)
+}
+
 fn colony(n: usize, ants: usize) -> (GlobalMem, ColonyBuffers) {
-    let inst = tsp::uniform_random("golden", n, 1000.0, 17 + n as u64);
+    let inst = instance(n);
     let mut gm = GlobalMem::new();
     let bufs = ColonyBuffers::allocate(&mut gm, &inst, &AcoParams::default().nn(10).ants(ants));
     (gm, bufs)
@@ -199,7 +203,7 @@ fn table(n: usize, ants: usize) -> String {
 /// then the global update on the best ant it built.
 fn acs(out: &mut String, tag: &str, dev: &DeviceSpec, n: usize, ants: usize) {
     let (mut gm, bufs) = colony(n, ants);
-    let inst = tsp::uniform_random("golden", n, 1000.0, 17 + n as u64);
+    let inst = instance(n);
     let c_nn = tsp::nearest_neighbor_tour(inst.matrix(), 0).length(inst.matrix());
     let tau0 = 1.0 / (n as f32 * c_nn as f32);
     gm.f32_mut(bufs.tau).fill(tau0);
